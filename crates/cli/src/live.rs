@@ -365,10 +365,22 @@ live-mode commands:
                             r.joins,
                             r.lost_docs.len(),
                         );
+                        out.push_str(&format!(
+                            "\n  batches shipped: {} at the limit, {} on queue drain, \
+                             {} at barriers (limit hwm {})",
+                            r.flushes.limit, r.flushes.drain, r.flushes.barrier, r.batch_limit_hwm,
+                        ));
                         for m in &r.ingest {
                             out.push_str(&format!(
-                                "\n  ingest t{}: {} docs routed, {} tasks dispatched, {} shed",
-                                m.thread, m.docs_routed, m.tasks_dispatched, m.tasks_shed,
+                                "\n  ingest t{}: {} docs routed, {} tasks dispatched, {} shed; \
+                                 batches {} limit / {} drain / {} barrier",
+                                m.thread,
+                                m.docs_routed,
+                                m.tasks_dispatched,
+                                m.tasks_shed,
+                                m.flushes.limit,
+                                m.flushes.drain,
+                                m.flushes.barrier,
                             ));
                         }
                         if r.registrations + r.unregistrations > 0 {
@@ -414,6 +426,7 @@ mod tests {
             .contains("not available"));
         let bye = s.run(Command::Quit);
         assert!(bye.contains("engine drained"), "{bye}");
+        assert!(bye.contains("batches shipped:"), "{bye}");
         assert!(s.finished);
     }
 

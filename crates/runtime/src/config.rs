@@ -24,9 +24,11 @@ pub enum OverflowPolicy {
 /// Batching is the live engine's main per-message-overhead lever: every
 /// batch is one channel send, one mailbox slot, and one worker wakeup, so
 /// larger batches amortize that cost — at the price of tasks idling in the
-/// dispatcher's pending buffer. [`BatchPolicy::Adaptive`] (the default)
-/// trades the two off automatically against a residency target instead of
-/// pinning a fixed [`RuntimeConfig::batch_size`].
+/// dispatcher's pending buffer while more commands are being routed.
+/// [`BatchPolicy::Adaptive`] (the default) trades the two off automatically
+/// against a residency target instead of pinning a fixed
+/// [`RuntimeConfig::batch_size`]. Either way the limit is only an upper
+/// bound: a dispatcher whose queue runs dry flushes what it has.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchPolicy {
     /// Always flush at exactly [`RuntimeConfig::batch_size`] tasks — the
@@ -55,8 +57,12 @@ impl BatchPolicy {
     /// between 1 and 512 tasks. Under throughput load the pending buffers
     /// fill in microseconds, so batches grow toward the ceiling and the
     /// per-message overhead (the dominant live-vs-sim gap on few cores)
-    /// amortizes away; under trickle load batches shrink to 1 and latency
-    /// stays bounded by the target plus the flush interval.
+    /// amortizes away. The limit only governs *busy* periods: whenever a
+    /// dispatcher's command queue runs dry it ships everything it has
+    /// buffered (see [`RuntimeConfig::flush_interval`]), so under partial
+    /// load a task's residency is the time to route the commands queued
+    /// ahead of it, whatever the limit is — and those drain flushes are
+    /// not fed back, so idle traffic does not inflate the limit.
     #[must_use]
     pub fn adaptive_default() -> Self {
         Self::Adaptive {
@@ -154,8 +160,14 @@ pub struct RuntimeConfig {
     pub batch_size: usize,
     /// How the dispatch planes size batches (see [`BatchPolicy`]).
     pub batch_policy: BatchPolicy,
-    /// Maximum time a partially filled batch may wait before being flushed
-    /// to its worker.
+    /// How long an *idle* dispatcher blocks on its command queue before it
+    /// wakes to probe the workers (the serial router's heartbeat, the pool
+    /// control thread's tick: due faults, a due allocation refresh, the
+    /// liveness sweep). It is not a latency mechanism: dispatch is
+    /// work-conserving — a dispatcher ships every buffered batch the
+    /// moment its queue runs dry and only then blocks — so no task ever
+    /// waits for this timer, and a value of ten seconds delivers a lone
+    /// document as fast as the 2 ms default.
     pub flush_interval: Duration,
     /// What the router does when it detects a dead worker (restart +
     /// journal replay, or replica failover).

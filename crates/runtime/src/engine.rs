@@ -46,7 +46,8 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crate::config::{BatchController, OverflowPolicy, RuntimeConfig};
+use crate::config::{OverflowPolicy, RuntimeConfig};
+use crate::dispatch::{Dispatcher, FlushCause, Wake};
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::ingest::{IngestCommand, IngestShared, IngestTable, IngestThread, Pool};
 use crate::message::{Delivery, DocTask, NodeMessage};
@@ -129,6 +130,27 @@ pub(crate) fn reclaim(msg: NodeMessage) -> BatchOutcome {
         | NodeMessage::Fault { .. }
         | NodeMessage::Ping { .. }
         | NodeMessage::Shutdown => BatchOutcome::Gone(Vec::new()),
+    }
+}
+
+/// Sends one batch message into a worker mailbox under the overflow
+/// policy — the one send every threaded dispatcher (the router's
+/// [`ThreadTransport`], each ingest thread) goes through.
+pub(crate) fn send_batch(
+    mailbox: &Sender<NodeMessage>,
+    overflow: OverflowPolicy,
+    msg: NodeMessage,
+) -> BatchOutcome {
+    match overflow {
+        OverflowPolicy::Block => match mailbox.send(msg) {
+            Ok(()) => BatchOutcome::Delivered,
+            Err(e) => reclaim(e.0),
+        },
+        OverflowPolicy::Shed => match mailbox.try_send(msg) {
+            Ok(()) => BatchOutcome::Delivered,
+            Err(TrySendError::Full(_)) => BatchOutcome::Shed,
+            Err(TrySendError::Disconnected(m)) => reclaim(m),
+        },
     }
 }
 
@@ -230,17 +252,7 @@ impl Transport for ThreadTransport {
     }
 
     fn batch(&mut self, n: usize, msg: NodeMessage) -> BatchOutcome {
-        match self.overflow {
-            OverflowPolicy::Block => match self.workers[n].send(msg) {
-                Ok(()) => BatchOutcome::Delivered,
-                Err(e) => reclaim(e.0),
-            },
-            OverflowPolicy::Shed => match self.workers[n].try_send(msg) {
-                Ok(()) => BatchOutcome::Delivered,
-                Err(TrySendError::Full(_)) => BatchOutcome::Shed,
-                Err(TrySendError::Disconnected(m)) => reclaim(m),
-            },
-        }
+        send_batch(&self.workers[n], self.overflow, msg)
     }
 
     fn restart(&mut self, n: usize, index: Arc<InvertedIndex>, fanout: Arc<FanoutTable>) -> bool {
@@ -331,62 +343,54 @@ impl Engine {
         let publishers = config.publishers.max(1);
         let command_capacity = config.command_capacity;
         let router = Router::new(scheme, config, transport, plan, bases);
-        if publishers == 1 {
-            let handle = thread::Builder::new()
-                .name("move-router".into())
-                .spawn(move || router.run(&cmd_rx, &final_rx))
-                .map_err(|e| MoveError::Runtime(format!("spawn router thread: {e}")))?;
-            return Ok(Self {
-                commands: cmd_tx,
-                ingest: Vec::new(),
-                next_ingest: AtomicUsize::new(0),
-                deliveries: delivery_rx,
-                router: Some(handle),
-            });
-        }
-
         // Router-pool mode: N publisher-facing ingest threads route
-        // against the shared snapshot table; this thread becomes the
+        // against the shared snapshot table; the router thread becomes the
         // control plane (registration, allocation refresh, supervision,
         // fault injection).
-        let shared = Arc::new(IngestShared::new(
-            publishers,
-            nodes,
-            IngestTable {
-                view: router.view.clone(),
-                senders: router.transport.workers.clone(),
-                dead: router.dead.clone(),
-            },
-        ));
-        let mut ingest_txs = Vec::with_capacity(publishers);
-        let mut ingest_handles = Vec::with_capacity(publishers);
-        for t in 0..publishers {
-            let (tx, rx) = bounded(command_capacity);
-            let thread_state = IngestThread::new(
-                t,
+        let mut ingest_txs = Vec::new();
+        let mut ingest_handles = Vec::new();
+        if publishers > 1 {
+            let shared = Arc::new(IngestShared::new(
+                publishers,
                 nodes,
-                Arc::clone(&shared),
-                cmd_tx.clone(),
-                &router.config,
-                VIEW_RNG_SEED,
-            );
-            let handle = thread::Builder::new()
-                .name(format!("move-ingest-{t}"))
-                .spawn(move || thread_state.run(&rx))
-                .map_err(|e| MoveError::Runtime(format!("spawn ingest thread {t}: {e}")))?;
-            ingest_txs.push(tx);
-            ingest_handles.push(handle);
+                IngestTable {
+                    view: router.view.clone(),
+                    senders: router.transport.workers.clone(),
+                    dead: router.dead.clone(),
+                },
+            ));
+            for t in 0..publishers {
+                let (tx, rx) = bounded(command_capacity);
+                let thread_state = IngestThread::new(
+                    t,
+                    nodes,
+                    Arc::clone(&shared),
+                    cmd_tx.clone(),
+                    &router.config,
+                    VIEW_RNG_SEED,
+                );
+                let handle = thread::Builder::new()
+                    .name(format!("move-ingest-{t}"))
+                    .spawn(move || thread_state.run(&rx))
+                    .map_err(|e| MoveError::Runtime(format!("spawn ingest thread {t}: {e}")))?;
+                ingest_txs.push(tx);
+                ingest_handles.push(handle);
+            }
+            let pool = Pool {
+                shared,
+                ingest: ingest_txs.clone(),
+                handles: ingest_handles,
+            };
+            thread::Builder::new()
+                .name("move-router".into())
+                .spawn(move || router.run_pool(&cmd_rx, &final_rx, pool))
+        } else {
+            thread::Builder::new()
+                .name("move-router".into())
+                .spawn(move || router.run(&cmd_rx, &final_rx))
         }
-        let pool = Pool {
-            shared,
-            ingest: ingest_txs.clone(),
-            handles: ingest_handles,
-        };
-        let handle = thread::Builder::new()
-            .name("move-router".into())
-            .spawn(move || router.run_pool(&cmd_rx, &final_rx, pool))
-            .map_err(|e| MoveError::Runtime(format!("spawn router thread: {e}")))?;
-        Ok(Self {
+        .map_err(|e| MoveError::Runtime(format!("spawn router thread: {e}")))
+        .map(|handle| Self {
             commands: cmd_tx,
             ingest: ingest_txs,
             next_ingest: AtomicUsize::new(0),
@@ -526,9 +530,9 @@ impl Engine {
     /// router, and reports a panicked router or worker thread as
     /// [`MoveError::Runtime`]; worker state is torn down either way.
     pub fn shutdown(mut self) -> Result<RuntimeReport> {
-        for tx in &self.ingest {
-            let _ = tx.send(IngestCommand::Shutdown);
-        }
+        // In pool mode the control thread forwards the shutdown to the
+        // ingest threads itself: it is the only writer of protocol messages
+        // into their mailboxes, so a fence can never queue behind one.
         let _ = self.commands.send(Command::Shutdown);
         let Some(handle) = self.router.take() else {
             return Err(MoveError::Runtime("router already joined".into()));
@@ -563,11 +567,9 @@ pub(crate) struct Router<T> {
     pub(crate) pin_docs: u64,
     /// Final counters reported by exited ingest threads (pool mode).
     pub(crate) ingest_metrics: Vec<IngestMetrics>,
-    /// Per-node batch under accumulation.
-    pub(crate) pending: Vec<Vec<DocTask>>,
-    /// The router's own batch-size governor (see [`crate::BatchPolicy`]);
-    /// ingest threads each own an independent one.
-    batcher: BatchController,
+    /// Per-node batches under accumulation and the rules that flush them
+    /// (see [`crate::dispatch`]); ingest threads each own an independent one.
+    pub(crate) dispatch: Dispatcher,
     /// Scheduled fault events, sorted by trigger point.
     plan: Vec<FaultEvent>,
     /// Index of the next unfired fault event.
@@ -611,18 +613,17 @@ impl<T: Transport> Router<T> {
     ) -> Self {
         let nodes = transport.nodes();
         let view = scheme.routing_view(0);
-        let batcher = BatchController::new(&config);
+        let dispatch = Dispatcher::new(nodes, &config);
         let supervisor = Supervisor::new(bases, scheme.fanout_table());
         Self {
             scheme,
             config,
-            batcher,
+            dispatch,
             transport,
             view,
             view_rng: StdRng::seed_from_u64(VIEW_RNG_SEED),
             pin_docs: 0,
             ingest_metrics: Vec::new(),
-            pending: vec![Vec::new(); nodes],
             plan: plan.events,
             next_fault: 0,
             supervisor,
@@ -733,7 +734,7 @@ impl<T: Transport> Router<T> {
     /// [`NodeMessage::Shutdown`], FIFO-ordered behind all earlier work.
     /// Send failures are ignored: a dead worker is already shut down.
     pub(crate) fn shutdown_workers(&mut self) {
-        self.flush_all();
+        self.flush_all(FlushCause::Barrier);
         for n in 0..self.transport.nodes() {
             let _ = self.transport.control(n, NodeMessage::Shutdown);
         }
@@ -802,7 +803,10 @@ impl<T: Transport> Router<T> {
             batch_limit_hwm: ingest
                 .iter()
                 .map(|m| m.batch_limit_hwm)
-                .fold(self.batcher.hwm() as u64, u64::max),
+                .fold(self.dispatch.limit_hwm(), u64::max),
+            flushes: ingest
+                .iter()
+                .fold(self.dispatch.flushes(), |sum, m| sum + m.flushes),
             registrations: self.registrations,
             unregistrations: self.unregistrations,
             canonical_hits: self.canonical_hits,
@@ -817,19 +821,17 @@ impl<T: Transport> Router<T> {
 
     fn serve(&mut self, commands: &Receiver<Command>) -> Result<()> {
         loop {
-            match commands.recv_timeout(self.config.flush_interval) {
-                Ok(cmd) => {
+            match self.dispatch.recv(commands, self.config.flush_interval) {
+                Wake::Command(cmd) => {
                     if !self.handle_command(cmd)? {
                         return Ok(());
                     }
                 }
-                Err(RecvTimeoutError::Disconnected) => return Ok(()),
-                // Idle: age out partially filled batches, then probe the
-                // workers so a death with no pending traffic still heals.
-                Err(RecvTimeoutError::Timeout) => {
-                    self.flush_all();
-                    self.heartbeat();
-                }
+                Wake::Drained => self.flush_all(FlushCause::Drain),
+                // Idle: probe the workers so a death with no pending
+                // traffic still heals.
+                Wake::Idle => self.heartbeat(),
+                Wake::Closed => return Ok(()),
             }
         }
     }
@@ -886,13 +888,13 @@ impl<T: Transport> Router<T> {
                 continue;
             }
             let n = step.node.as_usize();
-            self.pending[n].push(DocTask {
+            let task = DocTask {
                 doc: Arc::clone(doc),
                 task: step.task,
                 dispatched,
-            });
-            if self.pending[n].len() >= self.batcher.limit() {
-                self.flush_node(n);
+            };
+            if let Some(batch) = self.dispatch.push(n, task) {
+                self.ship(n, batch);
             }
         }
         // The observe/allocate refresh cycle, split so the pool can batch
@@ -918,7 +920,7 @@ impl<T: Transport> Router<T> {
     /// here. Refreshes the routing snapshot afterwards either way it went.
     fn apply_refresh(&mut self) -> Result<()> {
         if self.scheme.refresh_allocation()? {
-            self.flush_all();
+            self.flush_all(FlushCause::Barrier);
             self.allocation_updates += 1;
             for n in 0..self.transport.nodes() {
                 // A structural share of the scheme's shard: the journal
@@ -976,7 +978,7 @@ impl<T: Transport> Router<T> {
                     // Flush first so documents published before this
                     // registration are matched against the
                     // pre-registration shard.
-                    self.flush_node(n);
+                    self.flush_node(n, FlushCause::Barrier);
                     // Journal before sending: if the send finds the worker
                     // dead, the replay already covers this registration.
                     self.supervisor.record_op(
@@ -1048,7 +1050,7 @@ impl<T: Transport> Router<T> {
                 // identity-fallback delivery of a long-gone donor id.
                 for (node, terms) in targets {
                     let n = node.as_usize();
-                    self.flush_node(n);
+                    self.flush_node(n, FlushCause::Barrier);
                     self.supervisor.record_op(
                         n,
                         JournalOp::Unregister {
@@ -1079,7 +1081,7 @@ impl<T: Transport> Router<T> {
         for n in 0..self.transport.nodes() {
             // Flush first: a document routed before this control op must
             // expand through the pre-op fan-out table.
-            self.flush_node(n);
+            self.flush_node(n, FlushCause::Barrier);
             let (op, msg) = if add {
                 (
                     JournalOp::Subscribe {
@@ -1111,7 +1113,7 @@ impl<T: Transport> Router<T> {
     }
 
     fn stats(&mut self, reply: &Sender<Vec<NodeMetrics>>) {
-        self.flush_all();
+        self.flush_all(FlushCause::Barrier);
         // One reply per worker, so this gather channel can never fill.
         let (tx, rx) = bounded(self.transport.nodes().max(1));
         for n in 0..self.transport.nodes() {
@@ -1245,14 +1247,14 @@ impl<T: Transport> Router<T> {
                 if self.dead[m] {
                     continue; // schemes without liveness-aware routing
                 }
-                self.pending[m].push(DocTask {
+                let rerouted = DocTask {
                     doc: Arc::clone(&task.doc),
                     task: step.task,
                     dispatched: task.dispatched,
-                });
+                };
                 placed = true;
-                if self.pending[m].len() >= self.batcher.limit() {
-                    self.flush_node(m);
+                if let Some(batch) = self.dispatch.push(m, rerouted) {
+                    self.ship(m, batch);
                 }
             }
             if !placed {
@@ -1262,17 +1264,17 @@ impl<T: Transport> Router<T> {
         }
     }
 
-    /// Ships node `n`'s accumulated batch through the transport. Only
-    /// document batches obey the overflow policy — control messages always
-    /// go through (see [`Transport`]).
-    fn flush_node(&mut self, n: usize) {
-        if self.pending[n].is_empty() {
-            return;
+    /// Ships node `n`'s accumulated batch, if any, under `cause`.
+    fn flush_node(&mut self, n: usize, cause: FlushCause) {
+        if let Some(batch) = self.dispatch.take(n, cause) {
+            self.ship(n, batch);
         }
-        let batch = std::mem::take(&mut self.pending[n]);
-        // Feed the adaptive controller this batch's residency — the age of
-        // its oldest task. A no-op under `BatchPolicy::Fixed`.
-        self.batcher.observe(batch[0].dispatched.elapsed());
+    }
+
+    /// Sends one batch through the transport. Only document batches obey
+    /// the overflow policy — control messages always go through (see
+    /// [`Transport`]).
+    fn ship(&mut self, n: usize, batch: Vec<DocTask>) {
         if self.dead[n] {
             // Known-dead node under failover: skip the doomed send.
             self.failover(n, batch);
@@ -1293,17 +1295,10 @@ impl<T: Transport> Router<T> {
     /// one flush may re-route tasks onto nodes this pass already visited,
     /// so the sweep repeats until it finds nothing — each re-route either
     /// lands on a live node or kills another corpse, so it terminates.
-    pub(crate) fn flush_all(&mut self) {
-        loop {
-            let mut any = false;
-            for n in 0..self.pending.len() {
-                if !self.pending[n].is_empty() {
-                    any = true;
-                    self.flush_node(n);
-                }
-            }
-            if !any {
-                return;
+    pub(crate) fn flush_all(&mut self, cause: FlushCause) {
+        while !self.dispatch.is_empty() {
+            for n in 0..self.dispatch.nodes() {
+                self.flush_node(n, cause);
             }
         }
     }
@@ -1319,6 +1314,16 @@ impl Router<ThreadTransport> {
         // Serve until shutdown or a control-plane error; tear the workers
         // down in both cases, then surface the error.
         let served = self.serve(commands);
+        self.teardown(served, finals)
+    }
+
+    /// Stops and joins every worker, then surfaces `served`'s error or
+    /// merges the report.
+    fn teardown(
+        mut self,
+        served: Result<()>,
+        finals: &Receiver<WorkerFinal>,
+    ) -> Result<RuntimeReport> {
         self.shutdown_workers();
         // Drop our finals sender so the drain below observes disconnect
         // once every worker incarnation has exited.
@@ -1345,6 +1350,9 @@ impl Router<ThreadTransport> {
         mut pool: Pool,
     ) -> Result<RuntimeReport> {
         let served = self.serve_pool(commands, &pool);
+        // A clean shutdown already forwarded this; after a control-plane
+        // error nothing has, and a repeat finds the mailboxes closed.
+        pool.stop_ingest();
         // Every ingest thread has sent its exit notice by now (or the
         // engine handle is gone); join them before tearing down workers so
         // no batch is in flight past this point.
@@ -1354,18 +1362,7 @@ impl Router<ThreadTransport> {
         self.absorb_shards(&pool.shared);
         self.docs_published = pool.shared.docs_published.load(Ordering::Relaxed);
         self.pool_settle_faults();
-        self.shutdown_workers();
-        self.transport.final_tx = None;
-        let results: Vec<WorkerFinal> = finals.iter().collect();
-        let mut worker_panic = false;
-        for handle in std::mem::take(&mut self.transport.handles) {
-            worker_panic |= handle.join().is_err();
-        }
-        served?;
-        if worker_panic {
-            return Err(MoveError::Runtime("worker thread panicked".into()));
-        }
-        Ok(self.into_report(results))
+        self.teardown(served, finals)
     }
 
     /// Publishes the current routing table (view + worker senders +
@@ -1390,11 +1387,20 @@ impl Router<ThreadTransport> {
         loop {
             let cmd = match backlog.pop_front() {
                 Some(cmd) => cmd,
-                None => match commands.recv_timeout(self.config.flush_interval) {
-                    Ok(cmd) => cmd,
-                    Err(RecvTimeoutError::Disconnected) => return Ok(()),
-                    Err(RecvTimeoutError::Timeout) => {
-                        self.pool_tick(commands, &mut backlog, pool)?;
+                None => match self.dispatch.recv(commands, self.config.flush_interval) {
+                    Wake::Command(cmd) => cmd,
+                    Wake::Closed => return Ok(()),
+                    // Failover re-routes (and raced publishes) buffer here.
+                    Wake::Drained => {
+                        self.flush_all(FlushCause::Drain);
+                        continue;
+                    }
+                    Wake::Idle => {
+                        // Once the ingest threads were told to stop, a tick
+                        // could only fence threads that will never ack.
+                        if !shutting_down {
+                            self.pool_tick(commands, &mut backlog, pool)?;
+                        }
                         continue;
                     }
                 },
@@ -1404,17 +1410,17 @@ impl Router<ThreadTransport> {
                 // arriving here (a raced engine handle) still routes fine.
                 Command::Publish(doc) => self.publish(&Arc::new(*doc))?,
                 Command::Register(filter) => {
-                    self.pool_register(&filter, commands, &mut backlog, pool)?;
+                    self.pool_apply(|r| r.register(&filter), commands, &mut backlog, pool)?;
                 }
                 Command::RegisterSync(filter, ack) => {
-                    self.pool_register(&filter, commands, &mut backlog, pool)?;
+                    self.pool_apply(|r| r.register(&filter), commands, &mut backlog, pool)?;
                     let _ = ack.send(());
                 }
                 Command::Unregister(id) => {
-                    self.pool_unregister(id, commands, &mut backlog, pool)?;
+                    self.pool_apply(|r| r.unregister(id), commands, &mut backlog, pool)?;
                 }
                 Command::UnregisterSync(id, ack) => {
-                    self.pool_unregister(id, commands, &mut backlog, pool)?;
+                    self.pool_apply(|r| r.unregister(id), commands, &mut backlog, pool)?;
                     let _ = ack.send(());
                 }
                 Command::Stats(reply) => {
@@ -1426,6 +1432,8 @@ impl Router<ThreadTransport> {
                     self.stats(&reply);
                 }
                 Command::Gone { node, batch } => {
+                    // `deaths_settled_at` is stamped from this count.
+                    self.docs_published = pool.shared.docs_published.load(Ordering::Relaxed);
                     self.handle_gone(node, batch);
                     // Restart or failover changed senders or the dead-set;
                     // tell the ingest plane before it strands more batches.
@@ -1444,6 +1452,14 @@ impl Router<ThreadTransport> {
                     let _ = reply.send(outcome);
                 }
                 Command::Shutdown => {
+                    // Settle before stopping the ingest plane: everything
+                    // published is flushed to the mailboxes, then one tick
+                    // runs a refresh that fell due since the last idle
+                    // period (a fast run may never have had one) — the
+                    // refresh twin of `pool_settle_faults`.
+                    self.pool_barrier(commands, &mut backlog, pool);
+                    self.pool_tick(commands, &mut backlog, pool)?;
+                    pool.stop_ingest();
                     shutting_down = true;
                     if exited == pool.ingest.len() {
                         return Ok(());
@@ -1453,9 +1469,10 @@ impl Router<ThreadTransport> {
         }
     }
 
-    /// The idle tick of the pool control plane: sync the published-count,
-    /// fire due faults, drain the statistics shards, run a due allocation
-    /// refresh under a fence, probe the workers, and republish the table.
+    /// The idle tick of the pool control plane (also the settle step of a
+    /// shutdown): sync the published-count, fire due faults, drain the
+    /// statistics shards, run a due allocation refresh under a fence, probe
+    /// the workers, and republish the table.
     fn pool_tick(
         &mut self,
         commands: &Receiver<Command>,
@@ -1468,7 +1485,6 @@ impl Router<ThreadTransport> {
         if self.scheme.refresh_due() {
             self.pool_fence_refresh(commands, backlog, pool)?;
         }
-        self.flush_all();
         self.heartbeat();
         // Republishing unconditionally is cheap (Arc clones) and heals any
         // sender replaced by a heartbeat-driven restart above.
@@ -1548,15 +1564,36 @@ impl Router<ThreadTransport> {
         self.wait_for_acks(&ack_rx, sent, commands, backlog);
     }
 
+    /// Pool-mode registration or unregistration: barrier first, so
+    /// documents the publisher enqueued earlier hit the worker mailboxes
+    /// ahead of `change` (matched against the pre-change shards, expanded
+    /// through the pre-change fan-out table); then apply it and publish
+    /// the refreshed table.
+    fn pool_apply(
+        &mut self,
+        change: impl FnOnce(&mut Self) -> Result<()>,
+        commands: &Receiver<Command>,
+        backlog: &mut VecDeque<Command>,
+        pool: &Pool,
+    ) -> Result<()> {
+        self.pool_barrier(commands, backlog, pool);
+        change(self)?;
+        self.publish_table(pool);
+        Ok(())
+    }
+
     /// Fires every still-due scheduled fault and supervises the fallout
-    /// before worker teardown. The pool fires faults from the idle tick
-    /// of the control loop, and a fast run can reach shutdown before a
-    /// single tick elapses — but the serial engine fires them
-    /// synchronously per publish, so the pooled report must account for
-    /// the same schedule. Runs after the ingest threads are joined: the
-    /// published-document count is final and no batch is in flight.
+    /// of every fault fired so far before worker teardown. The pool fires
+    /// faults from the control loop's ticks, and a fast run can reach
+    /// shutdown before a tick elapses — or right after one fired a fault
+    /// its victim has not dequeued yet, so nothing has discovered the
+    /// death — but the serial engine fires them synchronously per publish,
+    /// so the pooled report must account for the same schedule. Runs after
+    /// the ingest threads are joined: the published-document count is
+    /// final and no batch is in flight.
     fn pool_settle_faults(&mut self) {
-        let due: Vec<usize> = self.plan[self.next_fault..]
+        let due: Vec<usize> = self
+            .plan
             .iter()
             .take_while(|ev| ev.at_doc <= self.docs_published)
             .map(|ev| ev.node.as_usize())
@@ -1618,39 +1655,6 @@ impl Router<ThreadTransport> {
         for _ in 0..fenced {
             let _ = rel_tx.send(());
         }
-        Ok(())
-    }
-
-    /// Pool-mode registration: barrier first so documents the publisher
-    /// enqueued before registering hit the worker mailboxes ahead of the
-    /// filter (preserving pre-registration matching), then place the
-    /// filter and publish the refreshed table.
-    fn pool_register(
-        &mut self,
-        filter: &Filter,
-        commands: &Receiver<Command>,
-        backlog: &mut VecDeque<Command>,
-        pool: &Pool,
-    ) -> Result<()> {
-        self.pool_barrier(commands, backlog, pool);
-        self.register(filter)?;
-        self.publish_table(pool);
-        Ok(())
-    }
-
-    /// Pool-mode unregistration: the same barrier discipline as
-    /// [`Router::pool_register`], so documents published before the call
-    /// still expand through the pre-unregistration fan-out table.
-    fn pool_unregister(
-        &mut self,
-        id: FilterId,
-        commands: &Receiver<Command>,
-        backlog: &mut VecDeque<Command>,
-        pool: &Pool,
-    ) -> Result<()> {
-        self.pool_barrier(commands, backlog, pool);
-        self.unregister(id)?;
-        self.publish_table(pool);
         Ok(())
     }
 }

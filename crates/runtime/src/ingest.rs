@@ -30,7 +30,7 @@
 //! no document routed under the old layout can be dispatched after the
 //! [`AllocationUpdate`](crate::NodeMessage) ships).
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TrySendError};
+use crossbeam::channel::{Receiver, Sender};
 use move_core::{MatchTask, RoutingView, StatsDelta};
 use move_types::Document;
 use parking_lot::Mutex;
@@ -41,8 +41,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::config::{BatchController, OverflowPolicy, RuntimeConfig};
-use crate::engine::{reclaim, BatchOutcome, Command};
+use crate::config::{OverflowPolicy, RuntimeConfig};
+use crate::dispatch::{Dispatcher, FlushCause, Wake};
+use crate::engine::{send_batch, BatchOutcome, Command};
 use crate::message::{DocTask, NodeMessage};
 use crate::metrics::IngestMetrics;
 
@@ -124,6 +125,17 @@ pub(crate) struct Pool {
     pub(crate) handles: Vec<JoinHandle<()>>,
 }
 
+impl Pool {
+    /// Tells every ingest thread to flush and exit. Only the control
+    /// thread calls this — it is the sole writer of protocol messages, so
+    /// no barrier or fence can ever queue behind a shutdown and go unacked.
+    pub(crate) fn stop_ingest(&self) {
+        for tx in &self.ingest {
+            let _ = tx.send(IngestCommand::Shutdown);
+        }
+    }
+}
+
 /// One publisher-facing ingest thread: routes against the shared table,
 /// batches per node, and flushes under the engine's overflow policy.
 pub(crate) struct IngestThread {
@@ -131,13 +143,11 @@ pub(crate) struct IngestThread {
     shared: Arc<IngestShared>,
     control: Sender<Command>,
     overflow: OverflowPolicy,
-    /// This thread's batch-size governor (see [`crate::BatchPolicy`]) —
-    /// independent per thread, so each adapts to its own node mix.
-    batcher: BatchController,
+    /// This thread's per-node batches and flush rules (see
+    /// [`crate::dispatch`]) — independent per thread, so each batch
+    /// controller adapts to its own node mix.
+    dispatch: Dispatcher,
     flush_interval: Duration,
-    /// Per-node batch under accumulation (thread-local, flushed on size,
-    /// idleness, and every barrier/fence/shutdown).
-    pending: Vec<Vec<DocTask>>,
     /// This thread's replica-choice RNG. Replica rows and groups hold
     /// identical filter subsets, so per-thread streams do not change
     /// delivery sets — only which replica does the work.
@@ -164,9 +174,8 @@ impl IngestThread {
             shared,
             control,
             overflow: config.overflow,
-            batcher: BatchController::new(config),
+            dispatch: Dispatcher::new(nodes, config),
             flush_interval: config.flush_interval,
-            pending: vec![Vec::new(); nodes],
             rng: StdRng::seed_from_u64(seed ^ (thread as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             docs_routed: 0,
             tasks_dispatched: 0,
@@ -175,28 +184,37 @@ impl IngestThread {
         }
     }
 
-    /// The thread's main loop: route publishes, age out partial batches on
-    /// idle, obey the barrier/fence protocol, and report counters on exit.
+    /// The thread's main loop: route publishes, ship everything buffered
+    /// whenever the mailbox runs dry, obey the barrier/fence protocol, and
+    /// report counters on exit.
     pub(crate) fn run(mut self, commands: &Receiver<IngestCommand>) {
         loop {
-            match commands.recv_timeout(self.flush_interval) {
-                Ok(IngestCommand::Publish(doc)) => self.publish(&Arc::new(*doc)),
-                Ok(IngestCommand::Barrier { ack }) => {
-                    self.flush_all();
+            let cmd = match self.dispatch.recv(commands, self.flush_interval) {
+                Wake::Command(cmd) => cmd,
+                Wake::Drained => {
+                    self.flush_all(FlushCause::Drain);
+                    continue;
+                }
+                Wake::Idle => continue,
+                Wake::Closed => break,
+            };
+            match cmd {
+                IngestCommand::Publish(doc) => self.publish(&Arc::new(*doc)),
+                IngestCommand::Barrier { ack } => {
+                    self.flush_all(FlushCause::Barrier);
                     let _ = ack.send(());
                 }
-                Ok(IngestCommand::Fence { ack, release }) => {
-                    self.flush_all();
+                IngestCommand::Fence { ack, release } => {
+                    self.flush_all(FlushCause::Barrier);
                     let _ = ack.send(());
                     // Parked until the control thread finishes the refresh;
                     // a disconnect (teardown) releases too.
                     let _ = release.recv();
                 }
-                Ok(IngestCommand::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
-                Err(RecvTimeoutError::Timeout) => self.flush_all(),
+                IngestCommand::Shutdown => break,
             }
         }
-        self.flush_all();
+        self.flush_all(FlushCause::Barrier);
         let _ = self.control.send(Command::IngestExited {
             metrics: IngestMetrics {
                 thread: self.thread,
@@ -204,7 +222,8 @@ impl IngestThread {
                 tasks_dispatched: self.tasks_dispatched,
                 tasks_shed: self.tasks_shed,
                 docs_double_routed: self.docs_double_routed,
-                batch_limit_hwm: self.batcher.hwm() as u64,
+                batch_limit_hwm: self.dispatch.limit_hwm(),
+                flushes: self.dispatch.flushes(),
             },
         });
     }
@@ -213,7 +232,7 @@ impl IngestThread {
     /// tasks into the per-node batches.
     fn publish(&mut self, doc: &Arc<Document>) {
         let table = Arc::clone(&self.shared.table.lock());
-        self.grow_to(table.senders.len());
+        self.dispatch.grow_to(table.senders.len());
         // During a join's handover window the view appends double-route
         // steps to the moved partitions' old homes — same code path as the
         // serial router.
@@ -237,50 +256,29 @@ impl IngestThread {
                 continue;
             }
             let n = step.node.as_usize();
-            self.pending[n].push(DocTask {
+            let task = DocTask {
                 doc: Arc::clone(doc),
                 task: step.task,
                 dispatched,
-            });
-            if self.pending[n].len() >= self.batcher.limit() {
-                self.flush_node(&table, n);
+            };
+            if let Some(batch) = self.dispatch.push(n, task) {
+                self.ship(&table, n, batch);
             }
         }
     }
 
-    /// Ships node `n`'s batch under the overflow policy. Batches for nodes
-    /// the control thread declared dead — and batches whose send finds a
-    /// disconnected mailbox — travel to the control thread as
+    /// Ships one batch for node `n` under the overflow policy. Batches for
+    /// nodes the control thread declared dead — and batches whose send
+    /// finds a disconnected mailbox — travel to the control thread as
     /// [`Command::Gone`] for supervised restart or failover.
-    fn flush_node(&mut self, table: &IngestTable, n: usize) {
-        if self.pending[n].is_empty() {
-            return;
-        }
-        let batch = std::mem::take(&mut self.pending[n]);
-        // Feed the adaptive controller this batch's residency — the age of
-        // its oldest task. A no-op under `BatchPolicy::Fixed`.
-        self.batcher.observe(batch[0].dispatched.elapsed());
+    fn ship(&mut self, table: &IngestTable, n: usize, batch: Vec<DocTask>) {
         if table.dead[n] {
             let _ = self.control.send(Command::Gone { node: n, batch });
             return;
         }
         let count = batch.len() as u64;
-        let outcome = match self.overflow {
-            OverflowPolicy::Block => {
-                match table.senders[n].send(NodeMessage::PublishDocument { batch }) {
-                    Ok(()) => BatchOutcome::Delivered,
-                    Err(e) => reclaim(e.0),
-                }
-            }
-            OverflowPolicy::Shed => {
-                match table.senders[n].try_send(NodeMessage::PublishDocument { batch }) {
-                    Ok(()) => BatchOutcome::Delivered,
-                    Err(TrySendError::Full(_)) => BatchOutcome::Shed,
-                    Err(TrySendError::Disconnected(m)) => reclaim(m),
-                }
-            }
-        };
-        match outcome {
+        let msg = NodeMessage::PublishDocument { batch };
+        match send_batch(&table.senders[n], self.overflow, msg) {
             BatchOutcome::Delivered => self.tasks_dispatched += count,
             BatchOutcome::Shed => self.tasks_shed += count,
             BatchOutcome::Gone(batch) => {
@@ -289,22 +287,19 @@ impl IngestThread {
         }
     }
 
-    /// Grows the per-node batch table after a node join published a wider
-    /// sender set (nodes never shrink; a dead node keeps its slot).
-    fn grow_to(&mut self, nodes: usize) {
-        if self.pending.len() < nodes {
-            self.pending.resize_with(nodes, Vec::new);
-        }
-    }
-
     /// Flushes every pending batch against the *current* table (senders
     /// may have been replaced by a supervised restart since the batches
     /// accumulated).
-    fn flush_all(&mut self) {
+    fn flush_all(&mut self, cause: FlushCause) {
+        if self.dispatch.is_empty() {
+            return;
+        }
         let table = Arc::clone(&self.shared.table.lock());
-        self.grow_to(table.senders.len());
-        for n in 0..self.pending.len() {
-            self.flush_node(&table, n);
+        self.dispatch.grow_to(table.senders.len());
+        for n in 0..self.dispatch.nodes() {
+            if let Some(batch) = self.dispatch.take(n, cause) {
+                self.ship(&table, n, batch);
+            }
         }
     }
 }

@@ -78,6 +78,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::config::{OverflowPolicy, RuntimeConfig};
+use crate::dispatch::FlushCause;
 use crate::engine::{BatchOutcome, Command, Router, Transport};
 use crate::fault::FaultAction;
 use crate::message::{Delivery, NodeMessage};
@@ -148,6 +149,12 @@ pub enum ScriptOp {
     Unregister(FilterId),
     /// Publish a document through the data plane.
     Publish(Document),
+    /// The router's command queue ran dry: every buffered per-node batch
+    /// ships now (the threaded router's work-conserving drain flush, see
+    /// [`crate::RuntimeConfig::flush_interval`]). Only meaningful with
+    /// [`InterleaveConfig::batch_size`] above 1 — at 1 nothing ever stays
+    /// buffered.
+    Drain,
     /// Enqueue a crash fault in the node's mailbox (FIFO behind queued
     /// work, so the death lands mid-drain). No-op on an already-dead node.
     Crash(NodeId),
@@ -435,7 +442,7 @@ pub fn run_schedule(
         // schedule (and everything derived from it) is a pure function of
         // the seed.
         batch_policy: crate::config::BatchPolicy::Fixed,
-        flush_interval: Duration::from_millis(1), // unused: no idle loop
+        flush_interval: Duration::from_millis(1), // unused: `ScriptOp::Drain` stands in for the idle loop
         supervision: config.supervision,
         publishers: 1, // the harness drives the serial router directly
         match_lanes: lanes,
@@ -564,6 +571,7 @@ pub fn run_schedule(
                 Some(ScriptOp::Publish(d)) => {
                     router.handle_command(Command::Publish(Box::new(d)))?;
                 }
+                Some(ScriptOp::Drain) => router.flush_all(FlushCause::Drain),
                 Some(ScriptOp::Crash(n)) => {
                     router.fault(n.as_usize(), FaultAction::Crash);
                 }

@@ -49,6 +49,7 @@
 #![warn(missing_docs)]
 
 mod config;
+mod dispatch;
 mod engine;
 mod fault;
 mod ingest;
@@ -67,6 +68,6 @@ pub use config::{BatchPolicy, OverflowPolicy, RuntimeConfig, DEFAULT_LANE_COST_T
 pub use engine::Engine;
 pub use fault::{FaultAction, FaultEvent, FaultPlan};
 pub use message::{Delivery, DocTask, NodeMessage};
-pub use metrics::{IngestMetrics, NodeMetrics, RuntimeReport};
+pub use metrics::{FlushCounts, IngestMetrics, NodeMetrics, RuntimeReport};
 pub use rebalance::JoinOutcome;
 pub use supervisor::SupervisionPolicy;

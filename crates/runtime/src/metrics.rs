@@ -35,6 +35,34 @@ pub struct NodeMetrics {
     pub latency: LatencySummary,
 }
 
+/// Batches shipped to worker mailboxes, counted by the rule that shipped
+/// them — which of the dispatcher's three flush rules is doing the work.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct FlushCounts {
+    /// The node's batch reached the [`crate::BatchPolicy`] limit: commands
+    /// kept arriving while it filled (a busy period).
+    pub limit: u64,
+    /// The dispatcher's command queue ran dry, so everything buffered was
+    /// shipped rather than left waiting (partial load).
+    pub drain: u64,
+    /// An ordering point forced the flush: a control message that must
+    /// follow the node's earlier documents, a stats barrier, a fence, or
+    /// shutdown.
+    pub barrier: u64,
+}
+
+impl std::ops::Add for FlushCounts {
+    type Output = Self;
+
+    fn add(self, other: Self) -> Self {
+        Self {
+            limit: self.limit + other.limit,
+            drain: self.drain + other.drain,
+            barrier: self.barrier + other.barrier,
+        }
+    }
+}
+
 /// Counters of one publisher-facing ingest thread (router-pool mode).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IngestMetrics {
@@ -56,6 +84,9 @@ pub struct IngestMetrics {
     /// [`crate::BatchPolicy::Fixed`]).
     #[serde(default)]
     pub batch_limit_hwm: u64,
+    /// Batches this thread shipped, by flush rule.
+    #[serde(default)]
+    pub flushes: FlushCounts,
 }
 
 /// What [`crate::Engine::shutdown`] returns.
@@ -126,6 +157,10 @@ pub struct RuntimeReport {
     /// reached (the router's own, maxed with every ingest thread's).
     #[serde(default)]
     pub batch_limit_hwm: u64,
+    /// Batches shipped by every dispatcher (the router's own plus every
+    /// ingest thread's), by flush rule.
+    #[serde(default)]
+    pub flushes: FlushCounts,
     /// Live filter registrations applied through the engine's control
     /// plane after start (churn workloads; 0 for static filter sets).
     #[serde(default)]

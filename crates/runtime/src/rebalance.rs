@@ -41,6 +41,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::dispatch::FlushCause;
 use crate::engine::{Command, Router, ThreadTransport, Transport};
 use crate::ingest::{IngestCommand, Pool};
 use crate::message::NodeMessage;
@@ -120,7 +121,7 @@ impl<T: Transport> Router<T> {
         }
         // Everything routed under the old layout reaches the mailboxes
         // before the layout changes under it.
-        self.flush_all();
+        self.flush_all(FlushCause::Barrier);
         let summary = self.scheme.join_node()?;
         let node = summary.node;
         let index = self.scheme.shared_node_index(node);
@@ -152,7 +153,7 @@ impl<T: Transport> Router<T> {
         // fan-out table: a crash of the joining node replays exactly what
         // the handover streamed to it.
         self.supervisor.admit(&index, &fanout);
-        self.pending.push(Vec::new());
+        self.dispatch.grow_to(self.transport.nodes());
         self.dead.push(false);
         self.migration.partitions_moved += summary.partitions_moved;
         self.pending_join = Some(PendingJoin {
@@ -189,7 +190,7 @@ impl<T: Transport> Router<T> {
         // this flush is what surfaces a joiner that died silently — and if
         // it does, the failover re-route inside it must still see the
         // handover view.
-        self.flush_all();
+        self.flush_all(FlushCause::Barrier);
         let Some(join) = self.pending_join.take() else {
             return Err(MoveError::Runtime("no staged join to commit".into()));
         };

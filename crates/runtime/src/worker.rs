@@ -406,7 +406,13 @@ impl Worker {
     /// messages in the queue are simply destroyed — the supervisor's
     /// journal replay is what restores registrations.
     fn crash(&mut self) {
-        while let Ok(msg) = self.mailbox.try_recv() {
+        // The mailbox disconnects the instant the drain ends, not when the
+        // thread has wound down: a batch that slips in after the drain
+        // vanishes uncounted, so the window in which a send still succeeds
+        // is kept to the drop itself.
+        let (_, closed) = crossbeam::channel::bounded(1);
+        let mailbox = std::mem::replace(&mut self.mailbox, closed);
+        while let Ok(msg) = mailbox.try_recv() {
             if let NodeMessage::PublishDocument { batch } = msg {
                 self.tasks_lost += batch.len() as u64;
                 self.lost_docs.extend(batch.iter().map(|t| t.doc.id()));

@@ -15,7 +15,7 @@
 //!   explicit `xtask:allow-unbounded` marker comment justifying it.
 //! * **no-catch-all** — the files that dispatch on the engine's protocol
 //!   enums (`worker.rs`, `engine.rs`, `interleave.rs`, `fault.rs`,
-//!   `supervisor.rs`, `ingest.rs`, the staged-join engine `rebalance.rs`,
+//!   `supervisor.rs`, `ingest.rs`, `dispatch.rs`, the staged-join engine `rebalance.rs`,
 //!   the routing-snapshot kernel `snapshot.rs`, the versioned-layout
 //!   kernel `layout.rs`, and the control-plane aggregation layer
 //!   `aggregate.rs`/`fanout.rs`) must not contain `_ =>` match arms, so
@@ -365,6 +365,7 @@ fn is_protocol_dispatch(path: &str) -> bool {
         "crates/runtime/src/worker.rs"
             | "crates/runtime/src/lanes.rs"
             | "crates/runtime/src/engine.rs"
+            | "crates/runtime/src/dispatch.rs"
             | "crates/runtime/src/interleave.rs"
             | "crates/runtime/src/fault.rs"
             | "crates/runtime/src/supervisor.rs"

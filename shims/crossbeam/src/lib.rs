@@ -434,7 +434,14 @@ pub mod channel {
             let mut st = self.0.lock();
             st.receivers -= 1;
             if st.receivers == 0 {
+                // Like real crossbeam, the last receiver discards whatever
+                // is still queued: nobody can ever read it, and a message
+                // may own a reply sender somebody is waiting on. Dropped
+                // outside the lock — a message may own a handle to this
+                // very channel.
+                let unread = std::mem::take(&mut st.queue);
                 drop(st);
+                drop(unread);
                 self.0.not_full.notify_all();
             }
         }
@@ -475,6 +482,18 @@ pub mod channel {
             let (tx, rx) = unbounded::<u32>();
             drop(rx);
             assert_eq!(tx.send(5), Err(SendError(5)));
+        }
+
+        #[test]
+        fn last_receiver_discards_queued_messages() {
+            // A request queued at a receiver that goes away must release
+            // the reply sender it carries, or the requester waits forever.
+            let (req_tx, req_rx) = unbounded::<Sender<u32>>();
+            let (reply_tx, reply_rx) = bounded::<u32>(1);
+            req_tx.send(reply_tx).unwrap();
+            drop(req_rx);
+            assert_eq!(reply_rx.recv(), Err(RecvError));
+            drop(req_tx);
         }
 
         #[test]

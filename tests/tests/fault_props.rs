@@ -58,7 +58,8 @@ fn expected_sets(pre: &[Filter], script: &[ScriptOp]) -> BTreeMap<DocId, BTreeSe
             | ScriptOp::PinView { .. }
             | ScriptOp::Join
             | ScriptOp::CommitJoin
-            | ScriptOp::CrashLane { .. } => {}
+            | ScriptOp::CrashLane { .. }
+            | ScriptOp::Drain => {}
         }
     }
     out

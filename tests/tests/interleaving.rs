@@ -15,9 +15,17 @@
 //! exactly), and under replica failover — including the
 //! failover-then-the-node-returns transition — deliveries stay sound and
 //! documents published after the cluster heals are delivered exactly.
+//!
+//! The `drain_*` schedules place the router's work-conserving flush
+//! ([`ScriptOp::Drain`]: the command queue ran dry, everything buffered
+//! ships) between a publish and each transition it can race — allocation
+//! refresh, join handover and commit, crash and restart, and a shed at a
+//! full mailbox — with batches larger than one so tasks really are
+//! buffered when it fires.
 
 use move_core::{Dissemination, IlScheme, MoveScheme, RsScheme, SystemConfig};
 use move_index::brute_force;
+use move_integration_tests::support::oracle_sets;
 use move_integration_tests::{random_docs, random_filters};
 use move_runtime::interleave::{run_schedule, InterleaveConfig, InterleaveReport, ScriptOp};
 use move_runtime::{OverflowPolicy, SupervisionPolicy};
@@ -82,14 +90,16 @@ fn expected_sets(pre: &[Filter], script: &[ScriptOp]) -> BTreeMap<DocId, BTreeSe
             // Joins likewise only move partitions between nodes: the
             // delivery set of every document is unchanged by a staged join,
             // its handover window, or its commit. A crashed match lane only
-            // changes which lane executes the remaining units.
+            // changes which lane executes the remaining units, and a drain
+            // only changes when a buffered batch leaves the router.
             ScriptOp::Crash(_)
             | ScriptOp::Restart(_)
             | ScriptOp::Delay { .. }
             | ScriptOp::PinView { .. }
             | ScriptOp::Join
             | ScriptOp::CommitJoin
-            | ScriptOp::CrashLane { .. } => {}
+            | ScriptOp::CrashLane { .. }
+            | ScriptOp::Drain => {}
         }
     }
     out
@@ -870,5 +880,235 @@ fn failover_then_original_node_returns() {
             healed_seeds > 0,
             "the 12-seed sweep never completed a failover-then-return cycle"
         );
+    }
+}
+
+/// Inserts a [`ScriptOp::Drain`] after every publish whose position
+/// (counted over publishes) is congruent to `phase` modulo `every`, so a
+/// seed sweep moves the drains across every gap between a publish and the
+/// transition that follows it.
+fn with_drains(script: Vec<ScriptOp>, every: usize, phase: usize) -> Vec<ScriptOp> {
+    let mut out = Vec::with_capacity(script.len() * 2);
+    let mut publishes = 0usize;
+    for op in script {
+        let published = matches!(op, ScriptOp::Publish(_));
+        out.push(op);
+        if published {
+            if publishes % every == phase % every {
+                out.push(ScriptOp::Drain);
+            }
+            publishes += 1;
+        }
+    }
+    out
+}
+
+/// 24 schedules of drain × allocation refresh on allocated MOVE: with
+/// three-task batches the router holds buffered tasks when a drain fires,
+/// and the sweep lands drains directly before and directly after the
+/// publishes that trigger a refresh. A drain may only move a batch
+/// *earlier* in its mailbox, never past the `AllocationUpdate` that
+/// follows it, so delivery stays exact and every dispatched task executes.
+#[test]
+fn drain_between_publish_and_allocation_refresh() {
+    let mut cfg = SystemConfig::small_test();
+    cfg.capacity_per_node = 150; // force real grids
+    cfg.refresh_every_docs = 5; // several refreshes inside the script
+    let filters = random_filters(200, 50, 0xA110C);
+    let sample = random_docs(30, 60, 10, 0x5A);
+    let docs = random_docs(25, 60, 10, 0xD0C);
+    let base: Vec<ScriptOp> = docs.iter().map(|d| ScriptOp::Publish(d.clone())).collect();
+    let expected = oracle_sets(&filters, &docs);
+
+    for seed in 900..924u64 {
+        let mut scheme = MoveScheme::new(cfg.clone()).expect("valid config");
+        for f in &filters {
+            scheme.register(f).expect("register");
+        }
+        scheme.observe_corpus(&sample);
+        scheme.allocate().expect("allocate");
+        let script = with_drains(base.clone(), 2 + seed as usize % 3, seed as usize);
+        let icfg = InterleaveConfig {
+            seed,
+            mailbox_capacity: 2,
+            batch_size: 3,
+            ..InterleaveConfig::default()
+        };
+        let out = run_schedule(Box::new(scheme), script, &icfg)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        assert!(out.report.allocation_updates > 0, "seed {seed}: no refresh");
+        assert!(
+            out.report.flushes.drain > 0,
+            "seed {seed}: no drain found anything buffered"
+        );
+        assert_at_most_once(&format!("move seed {seed}"), &expected, &out);
+        assert!(out.lost_docs.is_empty() && out.shed_docs.is_empty());
+    }
+}
+
+/// 36 schedules (3 schemes × 12 seeds) of drains inside a join's handover
+/// window: one drain directly after the join is staged (buffered tasks
+/// routed under the old layout meet the grown cluster), one directly
+/// before the commit, and a seeded sprinkle in between. Exact delivery on
+/// every schedule, and the join still commits.
+#[test]
+fn drain_inside_a_join_handover_window() {
+    let cfg = SystemConfig::small_test();
+    let filters = random_filters(120, 50, 0xA11);
+    let docs = random_docs(21, 60, 10, 0xD0C);
+    let (pre, live) = filters.split_at(filters.len() / 2);
+    let base_script = interleaved_script(live, &docs);
+    let expected = expected_sets(pre, &base_script);
+
+    for kind in [Kind::Move, Kind::Il, Kind::Rs] {
+        let mut drained = 0u64;
+        for seed in 930..942u64 {
+            let mut scheme = build(&kind, &cfg);
+            for f in pre {
+                scheme.register(f).expect("register");
+            }
+            let name = scheme.name();
+            let mut script = base_script.clone();
+            let len = script.len();
+            // Highest index first, so the earlier positions stay valid.
+            script.insert(2 * len / 3, ScriptOp::CommitJoin);
+            script.insert(2 * len / 3, ScriptOp::Drain);
+            script.insert(len / 3, ScriptOp::Drain);
+            script.insert(len / 3, ScriptOp::Join);
+            let script = with_drains(script, 4, seed as usize);
+            let icfg = InterleaveConfig {
+                seed,
+                mailbox_capacity: 1 + (seed as usize % 3),
+                batch_size: 3 + (seed as usize % 2),
+                ..InterleaveConfig::default()
+            };
+            let out = run_schedule(scheme, script, &icfg)
+                .unwrap_or_else(|e| panic!("{name} seed {seed}: {e}"));
+            assert_eq!(
+                out.report.joins, 1,
+                "{name} seed {seed}: join not committed"
+            );
+            assert_at_most_once(&format!("{name} seed {seed}"), &expected, &out);
+            assert!(out.lost_docs.is_empty() && out.shed_docs.is_empty());
+            drained += out.report.flushes.drain;
+        }
+        assert!(drained > 0, "the sweep never drained a buffered batch");
+    }
+}
+
+/// 72 fault schedules (3 schemes × 12 seeds × both supervision stances) of
+/// a drain racing a crash: the victim is crashed mid-stream with tasks
+/// still buffered for it in the router, and the next drain is the send
+/// that discovers the corpse — so the drain flush itself drives the
+/// supervised restart-and-resend, or the failover re-route whose tasks
+/// land back in buffers the same sweep must also empty. A `Restart` later
+/// returns the node. At-most-once under restarts, sound under failover,
+/// books exact under both.
+#[test]
+fn drain_discovers_a_crash_and_survives_the_restart() {
+    let cfg = SystemConfig::small_test();
+    let filters = random_filters(120, 50, 0xA11);
+    let docs = random_docs(24, 60, 10, 0xD0C);
+    let expected = oracle_sets(&filters, &docs);
+
+    for supervision in [SupervisionPolicy::default(), SupervisionPolicy::failover()] {
+        for kind in [Kind::Move, Kind::Il, Kind::Rs] {
+            let mut recovered = 0u64;
+            for seed in 950..962u64 {
+                let mut scheme = build(&kind, &cfg);
+                for f in &filters {
+                    scheme.register(f).expect("register");
+                }
+                let nodes = scheme.cluster().len() as u32;
+                let name = scheme.name();
+                let victim = NodeId(seed as u32 % nodes);
+                let mut script = Vec::new();
+                for (i, d) in docs.iter().enumerate() {
+                    script.push(ScriptOp::Publish(d.clone()));
+                    if i == 8 + seed as usize % 4 {
+                        script.push(ScriptOp::Crash(victim));
+                        script.push(ScriptOp::Drain);
+                    }
+                    if i == 17 {
+                        script.push(ScriptOp::Restart(victim));
+                        script.push(ScriptOp::Drain);
+                    }
+                }
+                let script = with_drains(script, 3, seed as usize);
+                let icfg = InterleaveConfig {
+                    seed,
+                    mailbox_capacity: 2,
+                    batch_size: 3,
+                    supervision: SupervisionPolicy {
+                        backoff: std::time::Duration::ZERO,
+                        ..supervision
+                    },
+                    ..InterleaveConfig::default()
+                };
+                let out = run_schedule(scheme, script, &icfg)
+                    .unwrap_or_else(|e| panic!("{name} seed {seed}: {e}"));
+                let label = format!("{name} seed {seed} restart={}", supervision.restart);
+                if supervision.restart {
+                    assert_at_most_once(&label, &expected, &out);
+                } else {
+                    assert_sound(&label, &expected, &out);
+                }
+                assert!(out.report.flushes.drain > 0, "{label}: nothing drained");
+                recovered += out.report.restarts + out.report.failovers;
+            }
+            assert!(recovered > 0, "the sweep never hit the dead worker");
+        }
+    }
+}
+
+/// 36 schedules (3 schemes × 12 seeds) of drains under `Shed` at mailbox
+/// capacity 1: a drain that finds the mailbox full sheds the whole
+/// buffered batch, exactly like a limit flush would. Deliveries stay
+/// sound, documents that lost no batch are complete, and the books
+/// balance against the same script's `Block` twin, which routes the
+/// identical tasks and sheds none: `routed = dispatched + shed`,
+/// `dispatched = executed`.
+#[test]
+fn drain_at_a_full_mailbox_sheds_and_balances_the_books() {
+    let cfg = SystemConfig::small_test();
+    let filters = random_filters(120, 50, 0xA11);
+    let docs = random_docs(24, 60, 10, 0xD0C);
+    let base: Vec<ScriptOp> = docs.iter().map(|d| ScriptOp::Publish(d.clone())).collect();
+    let expected = oracle_sets(&filters, &docs);
+
+    for kind in [Kind::Move, Kind::Il, Kind::Rs] {
+        let mut shed_total = 0u64;
+        for seed in 970..982u64 {
+            let script = with_drains(base.clone(), 2, seed as usize);
+            let run = |overflow| {
+                let mut scheme = build(&kind, &cfg);
+                for f in &filters {
+                    scheme.register(f).expect("register");
+                }
+                let icfg = InterleaveConfig {
+                    seed,
+                    mailbox_capacity: 1,
+                    overflow,
+                    batch_size: 3,
+                    ..InterleaveConfig::default()
+                };
+                run_schedule(scheme, script.clone(), &icfg)
+                    .unwrap_or_else(|e| panic!("seed {seed}: {e}"))
+            };
+            let block = run(OverflowPolicy::Block);
+            let shed = run(OverflowPolicy::Shed);
+            let label = format!("{} seed {seed}", shed.report.scheme);
+            assert_eq!(block.report.tasks_shed, 0, "{label}: Block shed");
+            assert_eq!(
+                shed.report.tasks_dispatched + shed.report.tasks_shed,
+                block.report.tasks_dispatched,
+                "{label}: every routed task is dispatched or counted shed"
+            );
+            // Sound, exact for every non-shed document, dispatched = executed.
+            assert_at_most_once(&label, &expected, &shed);
+            assert!(shed.report.flushes.drain > 0, "{label}: nothing drained");
+            shed_total += shed.report.tasks_shed;
+        }
+        assert!(shed_total > 0, "the sweep never shed at a full mailbox");
     }
 }

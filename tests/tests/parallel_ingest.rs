@@ -11,11 +11,11 @@ use move_core::{Dissemination, IlScheme, MoveScheme, RsScheme, SystemConfig};
 use move_index::brute_force;
 use move_integration_tests::{random_docs, random_filters};
 use move_runtime::{
-    Engine, FaultPlan, OverflowPolicy, RuntimeConfig, RuntimeReport, SupervisionPolicy,
+    Engine, FaultPlan, FlushCounts, OverflowPolicy, RuntimeConfig, RuntimeReport, SupervisionPolicy,
 };
 use move_types::{DocId, Document, Filter, FilterId, MatchSemantics};
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 type DeliverySets = BTreeMap<DocId, BTreeSet<FilterId>>;
 
@@ -127,6 +127,14 @@ fn pool_delivers_the_same_sets_as_the_serial_router() {
                 assert_eq!(
                     shed, report.tasks_shed,
                     "{name}: per-thread shed must sum to the report total"
+                );
+                let flushes = report
+                    .ingest
+                    .iter()
+                    .fold(FlushCounts::default(), |sum, m| sum + m.flushes);
+                assert_eq!(
+                    flushes, report.flushes,
+                    "{name}: per-thread flush counts must sum to the report total"
                 );
             } else {
                 assert!(report.ingest.is_empty(), "{name}: serial mode has no pool");
@@ -379,6 +387,62 @@ fn pool_crash_restart_stays_at_most_once() {
                 want,
                 "non-lost doc {} must be delivered exactly",
                 d.id()
+            );
+        }
+    }
+}
+
+/// Dispatch is work-conserving, not timer-driven: with the idle period set
+/// to ten seconds, one document published into an idle engine must still
+/// reach its full brute-force delivery set on the tap within one second —
+/// the dispatcher ships what it buffered the moment its queue runs dry —
+/// for the serial router and a four-thread pool alike, on every scheme.
+#[test]
+fn a_lone_document_is_delivered_without_waiting_for_the_idle_timer() {
+    let cfg = SystemConfig::small_test();
+    let filters = random_filters(250, 40, 0x1D1E);
+    let doc = random_docs(1, 40, 12, 0x1D1E ^ 0xD0C).remove(0);
+    let want: BTreeSet<FilterId> = brute_force(&filters, &doc, MatchSemantics::Boolean)
+        .into_iter()
+        .collect();
+    assert!(!want.is_empty(), "the probe document must match something");
+
+    for publishers in [1usize, 4] {
+        for mut scheme in schemes(&cfg) {
+            for f in &filters {
+                scheme.register(f).expect("register");
+            }
+            let name = scheme.name();
+            let config = RuntimeConfig {
+                flush_interval: Duration::from_secs(10),
+                publishers,
+                ..RuntimeConfig::default()
+            };
+            let engine = Engine::start(scheme, config).expect("engine starts");
+            let tap = engine.deliveries();
+            let deadline = Instant::now() + Duration::from_secs(1);
+            engine.publish(doc.clone());
+            let mut got = BTreeSet::new();
+            while got != want {
+                let left = deadline.saturating_duration_since(Instant::now());
+                match tap.recv_timeout(left) {
+                    Ok(d) => got.extend(d.matched),
+                    Err(_) => panic!(
+                        "{name} x{publishers}: {} of {} deliveries after 1 s — \
+                         the document waited for the idle timer",
+                        got.len(),
+                        want.len()
+                    ),
+                }
+            }
+            let report = engine.shutdown().expect("clean shutdown");
+            assert!(
+                report.flushes.drain > 0,
+                "{name} x{publishers}: the drain rule must have shipped the document"
+            );
+            assert_eq!(
+                report.flushes.limit, 0,
+                "{name} x{publishers}: nothing filled"
             );
         }
     }

@@ -319,3 +319,40 @@ fn shed_policy_accounts_for_every_task_and_stays_sound() {
         }
     }
 }
+
+/// Busy periods still batch: a 5 000-document burst keeps the router's
+/// command queue non-empty, so the drain rule stays out of the way, the
+/// adaptive limit grows, and the workers handle far fewer mailbox messages
+/// than document tasks — while a work-conserving dispatcher that flushed
+/// per document would handle one message per task.
+#[test]
+fn a_saturating_burst_still_amortizes_messages_over_batches() {
+    let cfg = SystemConfig::small_test();
+    let filters = random_filters(300, 50, 0xB0057);
+    let docs = random_docs(5_000, 60, 8, 0xB0057 ^ 0xD0C);
+    let mut scheme = IlScheme::new(cfg).expect("valid config");
+    for f in &filters {
+        scheme.register(f).expect("register");
+    }
+    let engine = Engine::start(Box::new(scheme), RuntimeConfig::default()).expect("engine starts");
+    for d in &docs {
+        engine.publish(d.clone());
+    }
+    let report = shutdown_within(engine, Duration::from_secs(120));
+    assert_fault_free("il", &report);
+    let messages: u64 = report.nodes.iter().map(|n| n.messages_processed).sum();
+    let tasks: u64 = report.nodes.iter().map(|n| n.doc_tasks).sum();
+    assert_eq!(tasks, report.tasks_dispatched);
+    assert!(
+        messages * 10 < tasks,
+        "{messages} mailbox messages for {tasks} tasks: the burst was not batched \
+         (flushes {:?}, limit hwm {})",
+        report.flushes,
+        report.batch_limit_hwm
+    );
+    assert!(
+        report.flushes.limit > 0,
+        "a saturating burst must fill batches to the limit ({:?})",
+        report.flushes
+    );
+}
